@@ -3,11 +3,14 @@
 // invariance and disruption detection against the generator ground truth.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/pipeline.h"
 #include "stream/detect.h"
 #include "stream/engine.h"
 #include "stream/events.h"
 #include "stream/schedule.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace cfs {
@@ -161,6 +164,33 @@ TEST(StreamEngine, ThreadCountInvariance) {
     const std::string a = serial.fold_epoch(epochs[e]).canonical;
     const std::string b = parallel.fold_epoch(epochs[e]).canonical;
     ASSERT_EQ(a, b) << "epoch " << e;
+  }
+}
+
+// Pins the stream's absolute bytes, not just its self-consistency: the
+// partition contract above would pass a fold that changed its output
+// consistently. The constant is the canonical-bytes hash of this schedule
+// (outage + PdbDelta + churn) folded in 100-event epochs; a deliberate
+// model change updates it in the same commit.
+TEST(StreamEngine, CanonicalBytesPinned) {
+  constexpr std::uint64_t kPinned = 0x451841952235b2f0ull;
+  const StreamScheduleConfig config = tiny_schedule_config();
+  const StreamSchedule schedule = generate_stream_schedule(config);
+  Pipeline pipeline(config.pipeline);
+  const auto epochs = slice_epochs(schedule, /*events_per_epoch=*/100);
+  ASSERT_GE(epochs.size(), 2u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    StreamEngine engine(pipeline.topology(), pipeline.ip2asn(),
+                        pipeline.facility_db(), StreamEngineConfig{},
+                        pool.get());
+    std::string canonical;
+    for (const auto& epoch : epochs)
+      canonical = engine.fold_epoch(epoch).canonical;
+    EXPECT_EQ(fnv1a64(canonical), kPinned)
+        << threads << " threads: 0x" << hex64(fnv1a64(canonical));
   }
 }
 
