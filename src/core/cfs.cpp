@@ -5,10 +5,8 @@
 #include <unordered_set>
 
 #include "core/bordermap.h"
-#include "core/iface_table.h"
-#include "core/obs_store.h"
+#include "core/fold.h"
 #include "core/reverse.h"
-#include "core/rules.h"
 #include "util/arena.h"
 #include "util/intern.h"
 #include "util/log.h"
@@ -19,10 +17,17 @@
 namespace cfs {
 
 struct ConstrainedFacilitySearch::State {
-  State(const IpToAsnService& ip2asn, const Topology& topo,
-        std::uint64_t seed)
-      : asn_map(ip2asn), resolver(topo, seed), border(ip2asn),
-        rng(seed ^ 0x5eedULL) {}
+  State(const Topology& topo, const FacilityDatabase& db,
+        const IpToAsnService& ip2asn, const CfsConfig& config)
+      : fold(topo, db, config.remote),
+        asn_map(ip2asn),
+        resolver(topo, config.seed),
+        border(ip2asn),
+        rng(config.seed ^ 0x5eedULL) {}
+  // `store` and `ifaces` below refer into `fold`: a copy would alias the
+  // original's kernel.
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
 
   // The trace corpus: in-memory, or an mmap'd column store plus the
   // follow-up tail (docs/SCALE.md). Serial folds below scan it in global
@@ -35,11 +40,12 @@ struct ConstrainedFacilitySearch::State {
   static constexpr std::size_t kReleaseWindow = 8192;
 
   // ---- dense-handle hot state ----
-  // Every responding hop address and peering endpoint is interned once;
-  // all hot columns below are indexed by the resulting u32 handle.
-  Interner<Ipv4> addrs;
-  IfaceTable ifaces;  // rows by handle; present() == "is a peering iface"
-  ObsStore store;     // slot-stable (near, far) observation store
+  // The fold kernel interns every responding hop address and peering
+  // endpoint once; all hot columns below are indexed by the resulting u32
+  // handle. `store` and `ifaces` name the kernel's own containers.
+  CfsFold fold;
+  ObsStore& store = fold.store();
+  const IfaceTable& ifaces = fold.ifaces();
   // Worklist bits by observation slot: `dirty` is this iteration's pass,
   // `pending` collects mid-pass discoveries at-or-before the cursor
   // (promoted into `dirty` at iteration end, like the old std::set pair).
@@ -89,15 +95,18 @@ struct ConstrainedFacilitySearch::State {
 
   CfsMetrics metrics;
 
-  // Interns `addr` and grows every handle-indexed column to cover it.
-  std::uint32_t intern_addr(Ipv4 addr) {
-    const std::uint32_t h = addrs.intern(addr);
-    if (addrs.size() > traces_by_addr.size()) {
-      traces_by_addr.resize(addrs.size());
-      obs_by_iface.resize(addrs.size());
-      iface_changed.resize(addrs.size(), 0);
-      ifaces.ensure_rows(addrs.size());
+  // Grows the handle-indexed columns kept beside the kernel's table.
+  void grow_columns() {
+    if (fold.handles() > traces_by_addr.size()) {
+      traces_by_addr.resize(fold.handles());
+      obs_by_iface.resize(fold.handles());
+      iface_changed.resize(fold.handles(), 0);
     }
+  }
+
+  std::uint32_t intern_addr(Ipv4 addr) {
+    const std::uint32_t h = fold.intern(addr);
+    grow_columns();
     return h;
   }
 
@@ -116,65 +125,21 @@ struct ConstrainedFacilitySearch::State {
     return std::binary_search(v.begin(), v.end(), b.value);
   }
 
-  struct Absorbed {
-    bool created = false;
-    bool changed = false;
-    std::uint32_t slot = 0;
-    std::uint32_t near = 0;  // addr handles of the endpoints
-    std::uint32_t far = 0;
-  };
-  // Folds one classified observation into the store and the per-interface
-  // side state (asn, vantage points, adjacency). Both engines and the
-  // refresh replay funnel through here so the merged state is identical
-  // whichever path produced it.
-  Absorbed absorb(const PeeringObservation& obs) {
-    Absorbed result;
-    const ObsStore::FindOrCreate fc =
-        store.find_or_create(obs.near_addr, obs.far_addr);
-    result.slot = fc.slot;
+  // Folds one classified observation through the kernel's merge rule and
+  // records the AS adjacency. Both engines and the refresh replay funnel
+  // through here so the merged state is identical whichever path produced
+  // it.
+  CfsFold::Absorbed absorb(const PeeringObservation& obs) {
+    const CfsFold::Absorbed r = fold.absorb(obs);
+    grow_columns();
     if (store.slots() > dirty.size()) {
       dirty.resize(store.slots());
       pending.resize(store.slots());
     }
-    if (fc.created) {
-      store.value(fc.slot) = obs;
-      result.created = true;
-    } else {
-      PeeringObservation& cur = store.value(fc.slot);
-      const PeeringObservation before = cur;
-      cur.near_rtt_ms = std::min(cur.near_rtt_ms, obs.near_rtt_ms);
-      cur.far_rtt_ms = std::min(cur.far_rtt_ms, obs.far_rtt_ms);
-      result.changed = !(before == cur);
-    }
-
-    result.near = intern_addr(obs.near_addr);
-    ifaces.touch(result.near, obs.near_addr, obs.near_as);
-    ifaces.note_seen_from(result.near, obs.vp);
-    result.far = intern_addr(obs.far_addr);
-    ifaces.touch(result.far, obs.far_addr, obs.far_as);
-
     add_neighbor(obs.near_as, obs.far_as);
     add_neighbor(obs.far_as, obs.near_as);
-    return result;
+    return r;
   }
-};
-
-// See cfs.h: the two pre-sized actions cover every branch of Step 2 (near
-// then far, in the old mutation order); `owned_*` back any computed
-// intersection the actions point into, everything else points at the
-// facility database's stable vectors.
-struct ConstrainedFacilitySearch::Directive {
-  struct Action {
-    std::uint32_t iface = 0;             // addr handle
-    const FacilityId* allowed = nullptr; // nullptr => no constrain call
-    std::uint32_t n = 0;
-    bool mark_remote = false;            // set the row's remote_suspect
-    bool record_ixp = false;             // note the obs IXP as queried
-  };
-  Action acts[2];
-  int n_acts = 0;
-  std::vector<FacilityId> owned_near;
-  std::vector<FacilityId> owned_far;
 };
 
 ConstrainedFacilitySearch::ConstrainedFacilitySearch(
@@ -190,42 +155,13 @@ ConstrainedFacilitySearch::ConstrainedFacilitySearch(
       pool_(pool) {}
 
 std::vector<std::vector<PeeringObservation>>
-ConstrainedFacilitySearch::classify_range(
+ConstrainedFacilitySearch::classify_traces(
     const HopClassifier& classifier, const corpus::TraceStore& traces,
     const std::vector<std::uint32_t>& indices) const {
-  // Below this the fan-out overhead beats the classification work itself.
-  constexpr std::size_t kParallelThreshold = 32;
-  std::vector<std::vector<PeeringObservation>> out(indices.size());
   TraceSpan span("cfs.classify");
   span.arg("traces", indices.size());
-  if (pool_ != nullptr && indices.size() >= kParallelThreshold) {
-    // Chunked so each worker's slice shows up as one timeline span; the
-    // chunk boundaries are a pure function of (n, workers), so the spans
-    // describe the same work at any thread count. Each chunk owns its
-    // scratch and cursor, so spilled reads are race-free by construction,
-    // and chunk row ranges are disjoint (indices ascend), so the trailing
-    // page release only drops rows this chunk is done with.
-    pool_->parallel_for_chunks(
-        indices.size(), [&](std::size_t begin, std::size_t end) {
-          TraceSpan chunk("cfs.classify_chunk");
-          chunk.arg("begin", begin);
-          chunk.arg("count", end - begin);
-          TraceResult scratch;
-          corpus::TraceCorpusReader::Cursor cursor;
-          for (std::size_t i = begin; i < end; ++i)
-            out[i] = classifier.classify(traces.at(indices[i], scratch, &cursor));
-          if (traces.spilled() && end > begin)
-            traces.release_range(indices[begin], indices[end - 1] + 1);
-        });
-  } else {
-    TraceResult scratch;
-    corpus::TraceCorpusReader::Cursor cursor;
-    for (std::size_t i = 0; i < indices.size(); ++i)
-      out[i] = classifier.classify(traces.at(indices[i], scratch, &cursor));
-    if (traces.spilled() && !indices.empty())
-      traces.release_range(indices.front(), indices.back() + 1);
-  }
-  return out;
+  return classify_range(classifier, traces, indices, pool_,
+                        "cfs.classify_chunk");
 }
 
 std::size_t ConstrainedFacilitySearch::ingest_traces(
@@ -242,7 +178,7 @@ std::size_t ConstrainedFacilitySearch::ingest_traces(
   for (std::size_t i = state.classified_upto; i < state.traces.size(); ++i)
     fresh_idx.push_back(static_cast<std::uint32_t>(i));
   std::vector<std::vector<PeeringObservation>> classified_obs =
-      classify_range(classifier, state.traces, fresh_idx);
+      classify_traces(classifier, state.traces, fresh_idx);
   TraceResult scratch;
   corpus::TraceCorpusReader::Cursor cursor;
   std::size_t released_upto = state.classified_upto;
@@ -264,7 +200,7 @@ std::size_t ConstrainedFacilitySearch::ingest_traces(
     }
 
     for (const PeeringObservation& obs : obs_list) {
-      const State::Absorbed r = state.absorb(obs);
+      const CfsFold::Absorbed r = state.absorb(obs);
       if (!config_.incremental) continue;
       if (r.created) {
         state.obs_by_iface[r.near].push_back(r.slot);
@@ -297,7 +233,7 @@ void ConstrainedFacilitySearch::reclassify_changed(
   const std::vector<Ipv4> changed = state.asn_map.take_changed();
   std::vector<char> stale(state.traces.size(), 0);
   for (const Ipv4 addr : changed) {
-    const auto h = state.addrs.find(addr);
+    const auto h = state.fold.find(addr);
     if (!h) continue;
     for (const std::uint32_t t : state.traces_by_addr[*h]) stale[t] = 1;
   }
@@ -314,7 +250,7 @@ void ConstrainedFacilitySearch::reclassify_changed(
       stale_idx.push_back(static_cast<std::uint32_t>(i));
   }
   std::vector<std::vector<PeeringObservation>> reclassified_obs =
-      classify_range(classifier, state.traces, stale_idx);
+      classify_traces(classifier, state.traces, stale_idx);
   for (std::size_t j = 0; j < stale_idx.size(); ++j) {
     const std::uint32_t i = stale_idx[j];
     ++stale_traces;
@@ -340,8 +276,8 @@ void ConstrainedFacilitySearch::reclassify_changed(
     const bool existed = slot < old_values.size() && old_live.test(slot);
     if (!existed) {
       const PeeringObservation& obs = state.store.value(slot);
-      state.obs_by_iface[*state.addrs.find(obs.near_addr)].push_back(slot);
-      state.obs_by_iface[*state.addrs.find(obs.far_addr)].push_back(slot);
+      state.obs_by_iface[*state.fold.find(obs.near_addr)].push_back(slot);
+      state.obs_by_iface[*state.fold.find(obs.far_addr)].push_back(slot);
       state.dirty.set(slot);
     } else if (!(old_values[slot] == state.store.value(slot))) {
       state.dirty.set(slot);
@@ -441,124 +377,35 @@ void ConstrainedFacilitySearch::note_candidates_changed(
   }
 }
 
-ConstrainedFacilitySearch::Directive ConstrainedFacilitySearch::make_directive(
-    const State& state, const RemotePeeringDetector& detector,
-    const PeeringObservation& obs) const {
-  // The decision logic is shared with the stream engine (core/rules.h);
-  // here we only map the plan's near/far roles onto dense row handles.
-  Step2Plan plan = plan_step2(topo_, db_, detector, obs);
-  Directive d;
-  d.owned_near = std::move(plan.owned_near);
-  d.owned_far = std::move(plan.owned_far);
-  const std::uint32_t near = *state.addrs.find(obs.near_addr);
-  const std::uint32_t far = *state.addrs.find(obs.far_addr);
-  for (int i = 0; i < plan.n_acts; ++i) {
-    const Step2Plan::Action& pa = plan.acts[i];
-    Directive::Action& a = d.acts[d.n_acts++];
-    a.iface = pa.side == Step2Plan::Side::Near ? near : far;
-    a.allowed = pa.allowed;
-    a.n = pa.n;
-    a.mark_remote = pa.mark_remote;
-    a.record_ixp = pa.record_ixp;
-  }
-  return d;
-}
-
-void ConstrainedFacilitySearch::apply_directive(
-    State& state, const Directive& directive, IxpId ixp, int iteration,
-    const std::uint64_t* current) const {
-  for (int i = 0; i < directive.n_acts; ++i) {
-    const Directive::Action& a = directive.acts[i];
-    if (a.mark_remote) state.ifaces.mark_remote(a.iface);
-    if (a.allowed != nullptr &&
-        state.ifaces.constrain(a.iface, a.allowed, a.n, iteration))
-      note_candidates_changed(state, a.iface, current);
-    if (a.record_ixp) state.ifaces.add_queried_ixp(a.iface, ixp);
-  }
-}
-
 void ConstrainedFacilitySearch::apply_facility_constraints(
     State& state, int iteration, IterationMetrics& im) const {
-  const RemotePeeringDetector detector(config_.remote);
-  const std::vector<std::uint32_t>& order = state.store.order();
-
-  // Pass worklist in ascending key order (== ascending `order` position).
-  std::vector<std::uint32_t> dirty_slots;
   if (!config_.incremental) {
     im.dirty_observations += state.store.live_count();
-    dirty_slots.reserve(state.store.live_count());
-    for (const std::uint32_t slot : order)
-      if (state.store.live(slot)) dirty_slots.push_back(slot);
-  } else {
-    // Dead-slot bits stay in the count, matching the old worklist whose
-    // vanished keys were counted but skipped.
-    im.dirty_observations += state.dirty.count();
-    dirty_slots.reserve(state.dirty.count());
-    for (const std::uint32_t slot : order)
-      if (state.dirty.test(slot)) dirty_slots.push_back(slot);
-  }
-
-  // Speculate directives for the pass worklist in parallel: they are pure
-  // per observation, so the fan-out cannot perturb the serial apply below
-  // — the speculate-then-replay pattern classification already uses.
-  constexpr std::size_t kParallelThreshold = 32;
-  std::vector<Directive> specs(dirty_slots.size());
-  std::vector<char> have_spec(dirty_slots.size(), 0);
-  if (pool_ != nullptr && dirty_slots.size() >= kParallelThreshold) {
-    TraceSpan spec_span("cfs.speculate_directives");
-    spec_span.arg("observations", dirty_slots.size());
-    pool_->parallel_for_chunks(
-        dirty_slots.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t slot = dirty_slots[i];
-            if (!state.store.live(slot)) continue;
-            specs[i] = make_directive(state, detector, state.store.value(slot));
-            have_spec[i] = 1;
-          }
-        });
-  }
-
-  if (!config_.incremental) {
-    for (std::size_t i = 0; i < dirty_slots.size(); ++i) {
-      const std::uint32_t slot = dirty_slots[i];
-      const PeeringObservation& obs = state.store.value(slot);
-      if (have_spec[i]) {
-        apply_directive(state, specs[i], obs.ixp, iteration, nullptr);
-      } else {
-        const Directive d = make_directive(state, detector, obs);
-        apply_directive(state, d, obs.ixp, iteration, nullptr);
-      }
-      ++im.constrained_observations;
-    }
+    im.constrained_observations += state.store.live_count();
+    state.fold.constrain_all(iteration, [&](std::uint32_t iface) {
+      note_candidates_changed(state, iface, nullptr);
+    });
     return;
   }
 
-  // Serial ordered apply. Changes made mid-pass re-queue observations:
-  // slots whose key is past the cursor have their dirty bit set and are
-  // picked up later in this same walk (the order index is key-sorted, so
-  // key order == position order); slots at or before the cursor land in
-  // `pending` for the next iteration — exactly the full engine's
-  // behavior, which sees an earlier change only on its next sweep.
-  std::size_t next_spec = 0;  // cursor into dirty_slots/specs
-  for (const std::uint32_t slot : order) {
+  // Dead-slot bits stay in the count, matching the old worklist whose
+  // vanished keys were counted but skipped.
+  im.dirty_observations += state.dirty.count();
+  // Serial walk in ascending key order (== ascending `order` position).
+  // Changes made mid-pass re-queue observations: slots whose key is past
+  // the cursor have their dirty bit set and are picked up later in this
+  // same walk; slots at or before the cursor land in `pending` for the
+  // next iteration — exactly the full engine's behavior, which sees an
+  // earlier change only on its next sweep.
+  for (const std::uint32_t slot : state.store.order()) {
     if (!state.dirty.test(slot)) continue;
     state.dirty.reset(slot);
-    // A speculated slot keeps its bit until visited, so the spec cursor
-    // advances exactly when the walk passes it.
-    const bool speculated =
-        next_spec < dirty_slots.size() && dirty_slots[next_spec] == slot;
-    if (state.store.live(slot)) {  // key may have vanished at refresh
-      const std::uint64_t key = state.store.key(slot);
-      const PeeringObservation& obs = state.store.value(slot);
-      if (speculated && have_spec[next_spec]) {
-        apply_directive(state, specs[next_spec], obs.ixp, iteration, &key);
-      } else {
-        const Directive d = make_directive(state, detector, obs);
-        apply_directive(state, d, obs.ixp, iteration, &key);
-      }
-      ++im.constrained_observations;
-    }
-    if (speculated) ++next_spec;
+    if (!state.store.live(slot)) continue;  // key may have vanished at refresh
+    const std::uint64_t key = state.store.key(slot);
+    state.fold.constrain_observation(slot, iteration, [&](std::uint32_t iface) {
+      note_candidates_changed(state, iface, &key);
+    });
+    ++im.constrained_observations;
   }
 }
 
@@ -568,7 +415,6 @@ void ConstrainedFacilitySearch::apply_alias_constraints(
       state.alias_set_ticks.size() != state.aliases.sets.size())
     state.alias_set_ticks.assign(state.aliases.sets.size(), 0);
 
-  std::vector<FacilityId> common;  // reused scratch
   for (std::size_t si = 0; si < state.aliases.sets.size(); ++si) {
     const auto& set = state.aliases.sets[si];
     if (set.size() < 2) continue;
@@ -579,7 +425,7 @@ void ConstrainedFacilitySearch::apply_alias_constraints(
       // moved since this set was last processed.
       bool dirty = false;
       for (const Ipv4 addr : set) {
-        const auto h = state.addrs.find(addr);
+        const auto h = state.fold.find(addr);
         if (h && state.iface_changed[*h] > state.alias_set_ticks[si]) {
           dirty = true;
           break;
@@ -588,35 +434,9 @@ void ConstrainedFacilitySearch::apply_alias_constraints(
       if (!dirty) continue;
     }
     ++im.alias_sets_processed;
-
-    // Intersect the candidate sets of all constrained members.
-    common.clear();
-    bool first = true;
-    bool any = false;
-    for (const Ipv4 addr : set) {
-      const auto h = state.addrs.find(addr);
-      if (!h || !state.ifaces.present(*h) || !state.ifaces.has_constraint(*h))
-        continue;
-      any = true;
-      const FacilityId* data = state.ifaces.cand_data(*h);
-      const std::uint32_t n = state.ifaces.cand_size(*h);
-      if (first) {
-        common.assign(data, data + n);
-        first = false;
-      } else {
-        common.resize(intersect_in_place(common.data(), common.size(),
-                                         data, n));
-      }
-    }
-    if (any && !common.empty()) {
-      for (const Ipv4 addr : set) {
-        const auto h = state.addrs.find(addr);
-        if (!h || !state.ifaces.present(*h)) continue;
-        if (state.ifaces.constrain(*h, common.data(), common.size(),
-                                   iteration))
-          note_candidates_changed(state, *h, nullptr);
-      }
-    }
+    state.fold.constrain_alias_set(set, iteration, [&](std::uint32_t iface) {
+      note_candidates_changed(state, iface, nullptr);
+    });
     if (config_.incremental) state.alias_set_ticks[si] = state.tick;
   }
 }
@@ -663,41 +483,33 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
     // facilities, preferring the smallest overlap (most constraining) and
     // penalising ASes colocated at IXPs already used as constraints.
     std::vector<std::pair<double, Asn>> scored;
-    if (config_.random_followups) {
-      for (int k = 0; k < config_.followup_targets; ++k) {
-        const auto& as = topo_.ases()[state.rng.index(topo_.ases().size())];
-        if (as.asn != iface_asn) scored.emplace_back(0.0, as.asn);
-      }
-    } else {
-      std::unordered_set<std::uint32_t> considered;
-      for (std::uint32_t ci = 0; ci < n_cands; ++ci) {
-        const auto it = state.present_at.find(cands[ci].value);
-        if (it == state.present_at.end()) continue;
-        for (const Asn cand : it->second) {
-          if (cand == iface_asn) continue;
-          if (!considered.insert(cand.value).second) continue;
-          const auto& ft = db_.facilities_of(cand);
-          const std::size_t overlap =
-              set_intersect_count(ft.data(), ft.size(), cands,
-                                  static_cast<std::size_t>(n_cands));
-          if (overlap == 0 || overlap >= n_cands) continue;
-          double score = static_cast<double>(overlap);
-          // A traceroute can only add a constraint for this AS's router if
-          // it exits through it: known neighbors are far more likely to.
-          if (!state.as_neighbors(iface_asn, cand)) score += 5.0;
-          for (const IxpId ixp : state.ifaces.queried_ixps(h)) {
-            if (set_intersects(ft, db_.ixp_facilities(ixp)))
-              score += 10.0;  // already-queried IXP: deprioritise
-          }
-          scored.emplace_back(score, cand);
+    std::unordered_set<std::uint32_t> considered;
+    for (std::uint32_t ci = 0; ci < n_cands; ++ci) {
+      const auto it = state.present_at.find(cands[ci].value);
+      if (it == state.present_at.end()) continue;
+      for (const Asn cand : it->second) {
+        if (cand == iface_asn) continue;
+        if (!considered.insert(cand.value).second) continue;
+        const auto& ft = db_.facilities_of(cand);
+        const std::size_t overlap =
+            set_intersect_count(ft.data(), ft.size(), cands,
+                                static_cast<std::size_t>(n_cands));
+        if (overlap == 0 || overlap >= n_cands) continue;
+        double score = static_cast<double>(overlap);
+        // A traceroute can only add a constraint for this AS's router if
+        // it exits through it: known neighbors are far more likely to.
+        if (!state.as_neighbors(iface_asn, cand)) score += 5.0;
+        for (const IxpId ixp : state.ifaces.queried_ixps(h)) {
+          if (set_intersects(ft, db_.ixp_facilities(ixp)))
+            score += 10.0;  // already-queried IXP: deprioritise
         }
+        scored.emplace_back(score, cand);
       }
-      std::sort(scored.begin(), scored.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  return a.second < b.second;
-                });
     }
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return a.second < b.second;
+    });
 
     if (scored.empty()) {
       // No viable target: the slot launched nothing, so it must not burn
@@ -758,7 +570,7 @@ std::vector<TraceResult> ConstrainedFacilitySearch::launch_followups(
   const auto reverse_plan = plan_reverse_probes(
       topo_, vps_,
       [&state](Ipv4 far) {
-        const auto fh = state.addrs.find(far);
+        const auto fh = state.fold.find(far);
         return fh && state.ifaces.present(*fh) && !state.ifaces.resolved(*fh);
       },
       observations, /*budget=*/16, config_.platform_filter);
@@ -780,7 +592,7 @@ CfsReport ConstrainedFacilitySearch::run(std::vector<TraceResult> traces) {
 CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
   TraceSpan run_timer("cfs.run");
   run_timer.arg("initial_traces", traces.size());
-  State state(ip2asn_, topo_, config_.seed);
+  State state(topo_, db_, ip2asn_, config_);
   state.metrics.incremental = config_.incremental;
   state.metrics.threads =
       config_.threads > 0 ? static_cast<std::size_t>(config_.threads) : 1;
@@ -864,58 +676,16 @@ CfsReport ConstrainedFacilitySearch::run(corpus::TraceStore traces) {
 
   // ---- final classification of each crossing ----
   CfsReport report;
-  report.interfaces.reserve(state.ifaces.present_count());
-  for (std::uint32_t h = 0; h < static_cast<std::uint32_t>(state.ifaces.rows());
-       ++h)
-    if (state.ifaces.present(h))
-      report.interfaces.emplace(state.ifaces.addr(h),
-                                state.ifaces.materialize(h));
+  {
+    TraceSpan link_span("cfs.link_classify");
+    link_span.arg("observations", state.store.live_count());
+    state.fold.fill_report(report);
+    link_span.arg("links", report.links.size());
+  }
   report.aliases = std::move(state.aliases);
   report.resolved_per_iteration = std::move(state.history);
   report.traces_used = state.traces.size();
   report.iterations_run = std::min(iteration, config_.max_iterations);
-
-  const RemotePeeringDetector detector(config_.remote);
-  ProximityHeuristic proximity;
-
-  TraceSpan link_span("cfs.link_classify");
-  link_span.arg("observations", state.store.live_count());
-
-  for (const std::uint32_t slot : state.store.order()) {
-    if (!state.store.live(slot)) continue;
-    const PeeringObservation& obs = state.store.value(slot);
-    LinkInference link;
-    link.obs = obs;
-    const auto* near = report.find(obs.near_addr);
-    const auto* far = report.find(obs.far_addr);
-    if (near != nullptr && near->resolved())
-      link.near_facility = near->facility();
-    if (far != nullptr && far->resolved()) link.far_facility = far->facility();
-
-    const LinkTypeDecision decision = classify_link_type(
-        db_, detector, obs, near != nullptr && near->remote_suspect);
-    link.type = decision.type;
-    if (obs.kind == PeeringKind::Public && link.near_facility &&
-        link.far_facility && !decision.far_remote)
-      proximity.observe(obs.ixp, *link.near_facility, *link.far_facility);
-    report.links.push_back(std::move(link));
-  }
-
-  // Switch-proximity fallback for far ends still ambiguous (Section 4.4).
-  for (LinkInference& link : report.links) {
-    if (link.obs.kind != PeeringKind::Public) continue;
-    if (link.far_facility || !link.near_facility) continue;
-    const auto* far = report.find(link.obs.far_addr);
-    if (far == nullptr || !far->has_constraint) continue;
-    const auto inferred = proximity.infer_far(
-        link.obs.ixp, *link.near_facility, far->candidates);
-    if (inferred) {
-      link.far_facility = inferred;
-      link.far_by_proximity = true;
-    }
-  }
-  link_span.arg("links", report.links.size());
-  link_span.stop();
 
   // Snapshot the measurement plane's attrition accounting (the campaign
   // outlives individual runs, so these are campaign-lifetime totals) and

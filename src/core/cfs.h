@@ -26,16 +26,17 @@
 // (tests/core/incremental_test.cpp asserts it). Per-stage accounting lands
 // in CfsReport::metrics.
 //
-// Hot-path layout (docs/ALGORITHM.md "Memory layout"): addresses are
-// interned into dense u32 handles at ingest; per-interface state lives in
-// a flat SoA table with arena-backed candidate spans (core/iface_table.h);
-// observations live in a slot-stable key-ordered store (core/obs_store.h)
-// with the dirty/pending worklists as bitsets over slots. The constraint
-// fold speculates per-observation directives in parallel on the pool (they
-// are pure functions of the observation and the databases) and applies
-// them serially in ascending key order, so reports are byte-identical at
-// any --threads N. Strings survive only at the ingest and export
-// boundaries.
+// Steps 2-3 and the final pass run on the CFS fold kernel (core/fold.h),
+// the same kernel the stream engine folds each epoch with. Its layout
+// (docs/ALGORITHM.md "Memory layout"): addresses are interned into dense
+// u32 handles at ingest; per-interface state lives in a flat SoA table
+// with arena-backed candidate spans (core/iface_table.h); observations
+// live in a slot-stable key-ordered store (core/obs_store.h). This engine
+// adds the dirty/pending worklists as bitsets over slots, fed by the
+// kernel's change callbacks. The constraint fold is serial in ascending
+// key order and classification fans out into index-ordered slots, so
+// reports are byte-identical at any --threads N. Strings survive only at
+// the ingest and export boundaries.
 //
 // CFS deliberately sees only the public-information layers: the merged
 // facility database, the IP-to-ASN service, DNS-free traceroute output and
@@ -73,7 +74,6 @@ struct CfsConfig {
   // Ablation switches (DESIGN.md Section 4).
   bool use_alias_constraints = true;
   bool use_border_mapping = true;  // MAP-IT-style /30 ownership repair
-  bool random_followups = false;
   // Incremental engine (default): alias refreshes re-classify only traces
   // touching a corrected address, constraint passes only observations whose
   // endpoints changed. `false` re-runs every pass from scratch; both paths
@@ -112,13 +112,6 @@ class ConstrainedFacilitySearch {
 
  private:
   struct State;
-  // A precomputed Step-2 plan for one observation: which interfaces to
-  // constrain with which (immutable) facility lists, plus the remote-
-  // suspect and queried-IXP side effects. Directives are a pure function
-  // of the observation and the public databases — no mutable engine state
-  // — so they can be speculated in parallel and applied serially in key
-  // order with byte-identical results at any thread count.
-  struct Directive;
 
   // Classifies traces appended past classified_upto into the observation
   // store (and, incrementally, the per-trace cache + address index).
@@ -137,13 +130,6 @@ class ConstrainedFacilitySearch {
   // iteration.
   void note_candidates_changed(State& state, std::uint32_t iface,
                                const std::uint64_t* current) const;
-  // Step 2 for a single observation, split into a pure planning half...
-  [[nodiscard]] Directive make_directive(const State& state,
-                                         const RemotePeeringDetector& detector,
-                                         const PeeringObservation& obs) const;
-  // ...and a serial application half (the only part that mutates rows).
-  void apply_directive(State& state, const Directive& directive, IxpId ixp,
-                       int iteration, const std::uint64_t* current) const;
   void apply_facility_constraints(State& state, int iteration,
                                   IterationMetrics& im) const;
   void apply_alias_constraints(State& state, int iteration,
@@ -153,13 +139,9 @@ class ConstrainedFacilitySearch {
   [[nodiscard]] std::vector<TraceResult> launch_followups(
       State& state, int iteration, IterationMetrics& im) const;
 
-  // Runs `classify` over the given rows of the trace store, fanning
-  // across the pool when one is attached and the range is large enough
-  // to pay for it. Results land in per-index slots (returned in trace
-  // order), so the caller's serial fold is order-identical to a serial
-  // classify loop. Spilled rows are materialized into per-chunk scratch
-  // and their pages dropped once the chunk is classified.
-  [[nodiscard]] std::vector<std::vector<PeeringObservation>> classify_range(
+  // classify_range (core/fold.h) on the attached pool, under one
+  // `cfs.classify` span.
+  [[nodiscard]] std::vector<std::vector<PeeringObservation>> classify_traces(
       const HopClassifier& classifier, const corpus::TraceStore& traces,
       const std::vector<std::uint32_t>& indices) const;
 

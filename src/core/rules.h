@@ -1,5 +1,5 @@
-// Pure CFS decision rules, shared by the batch engine (core/cfs.cpp) and
-// the streaming epoch engine (stream/engine.cpp).
+// Pure CFS decision rules, applied by the CFS fold kernel (core/fold.h)
+// that both the batch engine and the streaming epoch engine fold with.
 //
 // Two rule families live here:
 //
@@ -10,10 +10,10 @@
 //     remote, from the same observation plus the databases (Section 4.4).
 //
 // Both are pure functions of the observation and the public databases —
-// no engine state — which is what lets the batch engine speculate plans
-// in parallel and the stream engine re-derive epochs deterministically.
-// Plans address endpoints by role (near/far) rather than by any engine's
-// interface handle, so each engine maps roles onto its own row ids.
+// no engine state — so a plan never depends on the order observations
+// are folded in, and the stream engine can re-derive every epoch from
+// scratch. Plans address endpoints by role (near/far); the kernel maps
+// roles onto its interface rows.
 #pragma once
 
 #include <cstdint>

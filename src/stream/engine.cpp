@@ -1,13 +1,11 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
-#include "core/candidates.h"
-#include "core/proximity.h"
-#include "core/rules.h"
+#include "core/fold.h"
 #include "io/export.h"
+#include "util/trace.h"
 
 namespace cfs {
 
@@ -22,24 +20,6 @@ StreamEngine::StreamEngine(const Topology& topo, const IpToAsnService& ip2asn,
       raw_map_(ip2asn),
       border_(ip2asn) {}
 
-void StreamEngine::classify_into(
-    const HopClassifier& classifier, const std::vector<std::uint32_t>& indices,
-    std::vector<std::vector<PeeringObservation>>& out) const {
-  // Same fan-out threshold as the batch engine: below this the chunk
-  // overhead beats the classification work.
-  constexpr std::size_t kParallelThreshold = 32;
-  if (pool_ != nullptr && indices.size() >= kParallelThreshold) {
-    pool_->parallel_for_chunks(
-        indices.size(), [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i)
-            out[indices[i]] = classifier.classify(traces_[indices[i]]);
-        });
-  } else {
-    for (const std::uint32_t idx : indices)
-      out[idx] = classifier.classify(traces_[idx]);
-  }
-}
-
 StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   // ---- 1. consume the slice ----
   const std::size_t first_new = traces_.size();
@@ -48,7 +28,7 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
     switch (event.kind) {
       case StreamEventKind::TraceArrival:
         ++trace_events_;
-        traces_.push_back(event.trace);
+        traces_.append(TraceResult(event.trace));
         break;
       case StreamEventKind::VpChurn:
         ++churn_events_;
@@ -68,6 +48,7 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   }
   raw_obs_.resize(traces_.size());
   cooked_obs_.resize(traces_.size());
+  TraceResult scratch;  // row access; the in-memory store never uses it
 
   // ---- 2. raw classification of new traces (cache valid forever) ----
   std::vector<std::uint32_t> fresh_idx;
@@ -75,11 +56,16 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   for (std::size_t i = first_new; i < traces_.size(); ++i)
     fresh_idx.push_back(static_cast<std::uint32_t>(i));
   {
+    TraceSpan span("stream.classify");
+    span.arg("traces", fresh_idx.size());
     const HopClassifier raw(ip2asn_, raw_map_);
-    classify_into(raw, fresh_idx, raw_obs_);
+    std::vector<std::vector<PeeringObservation>> out = classify_range(
+        raw, traces_, fresh_idx, pool_, "stream.classify_chunk");
+    for (std::size_t j = 0; j < fresh_idx.size(); ++j)
+      raw_obs_[fresh_idx[j]] = std::move(out[j]);
   }
   for (const std::uint32_t i : fresh_idx) {
-    for (const Hop& hop : traces_[i].hops) {
+    for (const Hop& hop : traces_.at(i, scratch).hops) {
       if (!hop.responded) continue;
       auto& slot = traces_by_addr_[hop.address];
       if (slot.empty() || slot.back() != i) slot.push_back(i);
@@ -93,16 +79,23 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   // ---- 3. alias resolution, memoized on the target set ----
   // A fresh resolver per run makes the sets a pure function of the sorted
   // target list; addresses only ever join the set, so size is identity.
-  if (present0_.size() != aliased_count_) {
-    const std::vector<Ipv4> targets(present0_.begin(), present0_.end());
-    AliasResolver resolver(topo_, config_.seed);
-    aliases_ = resolver.resolve(targets);
-    aliased_count_ = present0_.size();
+  {
+    TraceSpan span("stream.alias_resolve");
+    const bool re_resolve = present0_.size() != aliased_count_;
+    span.arg("re_resolved", re_resolve ? 1 : 0);
+    span.arg("targets", present0_.size());
+    if (re_resolve) {
+      const std::vector<Ipv4> targets(present0_.begin(), present0_.end());
+      AliasResolver resolver(topo_, config_.seed);
+      aliases_ = resolver.resolve(targets);
+      aliased_count_ = present0_.size();
+    }
   }
 
+  TraceSpan reclassify_span("stream.reclassify");
   // ---- 4. border evidence: each trace fed exactly once, in order ----
   for (; border_upto_ < traces_.size(); ++border_upto_)
-    border_.ingest(traces_[border_upto_]);
+    border_.ingest(traces_.at(border_upto_, scratch));
 
   // ---- 5. fresh corrected map (never accumulated across epochs) ----
   InterfaceAsnMap epoch_map(ip2asn_);
@@ -129,127 +122,46 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   std::vector<std::uint32_t> todo;
   for (std::size_t i = 0; i < cooked_upto_; ++i)
     if (stale[i]) todo.push_back(static_cast<std::uint32_t>(i));
+  reclassify_span.arg("stale_traces", todo.size());
   todo.insert(todo.end(), fresh_idx.begin(), fresh_idx.end());
   {
     const HopClassifier cooked(ip2asn_, epoch_map);
-    classify_into(cooked, todo, cooked_obs_);
+    std::vector<std::vector<PeeringObservation>> out = classify_range(
+        cooked, traces_, todo, pool_, "stream.classify_chunk");
+    for (std::size_t j = 0; j < todo.size(); ++j)
+      cooked_obs_[todo[j]] = std::move(out[j]);
   }
   cooked_upto_ = traces_.size();
+  reclassify_span.arg("traces", todo.size());
+  reclassify_span.stop();
 
-  // ---- 7. merge observations + interface side-state, in trace order ----
-  // Canonical (near, far) pair order; first observation wins the fields,
-  // RTTs take the per-pair minimum — classify_all's merge rule.
-  std::map<std::pair<Ipv4, Ipv4>, PeeringObservation> merged;
-  std::map<Ipv4, InterfaceInference> ifaces;
-  const auto touch = [&ifaces](Ipv4 addr, Asn asn) -> InterfaceInference& {
-    InterfaceInference& inf = ifaces[addr];
-    inf.addr = addr;  // last writer wins, as in the batch table
-    inf.asn = asn;
-    return inf;
-  };
-  for (std::size_t t = 0; t < traces_.size(); ++t) {
-    for (const PeeringObservation& obs : cooked_obs_[t]) {
-      const auto [it, created] =
-          merged.try_emplace({obs.near_addr, obs.far_addr}, obs);
-      if (!created) {
-        it->second.near_rtt_ms =
-            std::min(it->second.near_rtt_ms, obs.near_rtt_ms);
-        it->second.far_rtt_ms = std::min(it->second.far_rtt_ms, obs.far_rtt_ms);
-      }
-      InterfaceInference& near = touch(obs.near_addr, obs.near_as);
-      if (std::find(near.seen_from.begin(), near.seen_from.end(), obs.vp) ==
-          near.seen_from.end())
-        near.seen_from.push_back(obs.vp);
-      touch(obs.far_addr, obs.far_as);
-    }
-  }
-
-  // ---- 8. Step-2 facility pass, canonical pair order ----
-  const RemotePeeringDetector detector(config_.remote);
-  for (const auto& [key, obs] : merged) {
-    const Step2Plan plan = plan_step2(topo_, db_, detector, obs);
-    for (int i = 0; i < plan.n_acts; ++i) {
-      const Step2Plan::Action& act = plan.acts[i];
-      InterfaceInference& inf = ifaces.at(
-          act.side == Step2Plan::Side::Near ? obs.near_addr : obs.far_addr);
-      if (act.mark_remote) inf.remote_suspect = true;
-      if (act.allowed != nullptr) {
-        const std::vector<FacilityId> allowed(act.allowed,
-                                              act.allowed + act.n);
-        inf.constrain(allowed, 0);
-      }
-      if (act.record_ixp &&
-          std::find(inf.queried_ixps.begin(), inf.queried_ixps.end(),
-                    obs.ixp) == inf.queried_ixps.end())
-        inf.queried_ixps.push_back(obs.ixp);
-    }
-  }
-
-  // ---- 9. alias propagation (Step 3), one pass in set order ----
-  std::vector<FacilityId> common;
-  for (const auto& set : aliases_.sets) {
-    if (set.size() < 2) continue;
-    common.clear();
-    bool first = true;
-    bool any = false;
-    for (const Ipv4 addr : set) {
-      const auto it = ifaces.find(addr);
-      if (it == ifaces.end() || !it->second.has_constraint) continue;
-      any = true;
-      if (first) {
-        common = it->second.candidates;
-        first = false;
-      } else {
-        common = facility_intersection(common, it->second.candidates);
-      }
-    }
-    if (!any || common.empty()) continue;
-    for (const Ipv4 addr : set) {
-      const auto it = ifaces.find(addr);
-      if (it != ifaces.end()) it->second.constrain(common, 0);
-    }
-  }
-
-  // ---- 10. report + link typing (same final pass as the batch engine) ----
+  // ---- 7. fold: a fresh CFS kernel over every cooked observation ----
+  // Absorbed in trace order (the kernel's merge rule), then one Step-2
+  // pass in key order and one alias pass, both at iteration 0. A fresh
+  // kernel keeps the fold partition-invariant and frees its arena with it.
   CfsReport report;
-  report.interfaces.reserve(ifaces.size());
-  for (const auto& [addr, inf] : ifaces) report.interfaces.emplace(addr, inf);
+  {
+    TraceSpan span("stream.fold");
+    CfsFold fold(topo_, db_, config_.remote);
+    std::size_t observations = 0;
+    for (const std::vector<PeeringObservation>& obs_list : cooked_obs_) {
+      for (const PeeringObservation& obs : obs_list) fold.absorb(obs);
+      observations += obs_list.size();
+    }
+    const auto ignore = [](CfsFold::Handle) {};
+    fold.constrain_all(0, ignore);
+    for (const auto& set : aliases_.sets)
+      fold.constrain_alias_set(set, 0, ignore);
+    fold.fill_report(report);
+    span.arg("observations", observations);
+    span.arg("links", report.links.size());
+  }
   report.aliases = aliases_;
   report.traces_used = traces_.size();
   report.iterations_run = 0;
 
-  ProximityHeuristic proximity;
-  for (const auto& [key, obs] : merged) {
-    LinkInference link;
-    link.obs = obs;
-    const InterfaceInference* near = report.find(obs.near_addr);
-    const InterfaceInference* far = report.find(obs.far_addr);
-    if (near != nullptr && near->resolved())
-      link.near_facility = near->facility();
-    if (far != nullptr && far->resolved()) link.far_facility = far->facility();
-
-    const LinkTypeDecision decision = classify_link_type(
-        db_, detector, obs, near != nullptr && near->remote_suspect);
-    link.type = decision.type;
-    if (obs.kind == PeeringKind::Public && link.near_facility &&
-        link.far_facility && !decision.far_remote)
-      proximity.observe(obs.ixp, *link.near_facility, *link.far_facility);
-    report.links.push_back(std::move(link));
-  }
-  for (LinkInference& link : report.links) {
-    if (link.obs.kind != PeeringKind::Public) continue;
-    if (link.far_facility || !link.near_facility) continue;
-    const InterfaceInference* far = report.find(link.obs.far_addr);
-    if (far == nullptr || !far->has_constraint) continue;
-    const auto inferred = proximity.infer_far(
-        link.obs.ixp, *link.near_facility, far->candidates);
-    if (inferred) {
-      link.far_facility = inferred;
-      link.far_by_proximity = true;
-    }
-  }
-
-  // ---- 11. snapshot + canonical bytes ----
+  // ---- 8. snapshot + canonical bytes ----
+  TraceSpan snapshot_span("stream.snapshot");
   StreamSnapshot snapshot;
   snapshot.epoch = ++epoch_;
   snapshot.last_ts_ns = last_ts_ns_;
@@ -272,6 +184,7 @@ StreamSnapshot StreamEngine::fold_epoch(std::span<const StreamEvent> events) {
   canon.emplace("vps_down", snapshot.vps_down);
   snapshot.canonical = JsonValue(std::move(canon)).dump();
   snapshot.report = std::move(report);
+  snapshot_span.arg("bytes", snapshot.canonical.size());
   return snapshot;
 }
 

@@ -22,14 +22,19 @@
 //     the epoch partition;
 //   * per-trace classifications under the corrected map are cached and
 //     invalidated by diffing consecutive epochs' correction tables;
-//   * observation merging, Step-2 constraint planning (core/rules.h),
-//     alias propagation and link typing run from scratch per epoch over
-//     std::map containers in canonical (address) order.
+//   * observation merging, Step 2, alias propagation and link typing run
+//     per epoch on a FRESH CFS fold kernel (core/fold.h, the batch
+//     engine's kernel): every cached observation is absorbed in trace
+//     order, then one Step-2 pass walks the store in key order and one
+//     alias pass walks the sets, both at iteration 0.
 //
 // The expensive stages — classification, alias probing — are incremental;
 // the per-epoch fold is linear in accumulated state. Classification fans
-// out across the thread pool into index-ordered slots, so snapshots are
-// byte-identical at any thread count.
+// out across the thread pool into index-ordered slots (core/fold.h
+// classify_range), so snapshots are byte-identical at any thread count.
+// fold_epoch records one timeline span per stage: stream.classify,
+// stream.alias_resolve, stream.reclassify, stream.fold and
+// stream.snapshot (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +49,7 @@
 #include "core/classify.h"
 #include "core/remote.h"
 #include "core/report.h"
+#include "data/corpus/trace_store.h"
 #include "data/facility_db.h"
 #include "stream/events.h"
 #include "util/thread_pool.h"
@@ -95,12 +101,6 @@ class StreamEngine {
   [[nodiscard]] const FacilityDatabase& facility_db() const { return db_; }
 
  private:
-  // Classifies traces_[indices] into per-index slots of `out` (parallel
-  // when a pool is attached; slot-indexed, so fold order never changes).
-  void classify_into(const HopClassifier& classifier,
-                     const std::vector<std::uint32_t>& indices,
-                     std::vector<std::vector<PeeringObservation>>& out) const;
-
   const Topology& topo_;
   const IpToAsnService& ip2asn_;
   FacilityDatabase db_;  // owned: PdbDelta events mutate it
@@ -110,7 +110,7 @@ class StreamEngine {
   // Raw (correction-free) classification basis; valid forever.
   InterfaceAsnMap raw_map_;
 
-  std::vector<TraceResult> traces_;
+  corpus::TraceStore traces_;  // in memory
   std::vector<std::vector<PeeringObservation>> raw_obs_;     // under raw_map_
   std::vector<std::vector<PeeringObservation>> cooked_obs_;  // under epoch map
   std::size_t cooked_upto_ = 0;  // traces with a valid cooked_obs_ entry
