@@ -242,6 +242,25 @@ void faults_from(const Flags& flags, FaultPlan& plan) {
   plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed", 0));
 }
 
+// --threads, on every subcommand that reads it. 0 asks for the hardware
+// concurrency (stream folds serially at 0 and 1); the upper bound keeps a
+// typo from building a pool of thousands of workers.
+int threads_from(const Flags& flags, std::int64_t fallback) {
+  constexpr std::int64_t kMaxThreads = 256;
+  const std::int64_t threads = flags.get_int("threads", fallback);
+  if (threads < 0 || threads > kMaxThreads)
+    throw std::invalid_argument("--threads must be in [0, 256]");
+  return static_cast<int>(threads);
+}
+
+// --epoch-events for `stream` and `serve --stream`: 0 slices one epoch per
+// round interval; a negative count would wrap to SIZE_MAX.
+std::size_t epoch_events_from(const Flags& flags) {
+  const std::int64_t events = flags.get_int("epoch-events", 0);
+  if (events < 0) throw std::invalid_argument("--epoch-events must be >= 0");
+  return static_cast<std::size_t>(events);
+}
+
 // Spill knobs shared by `infer` and `corpus pack`. --spill without a
 // directory is a usage error; --shards without --spill is too (it would
 // silently do nothing).
@@ -263,7 +282,7 @@ int cmd_infer(const Flags& flags) {
   const int transit = static_cast<int>(flags.get_int("transit", 2));
   const double vp_fraction = flags.get_double("vp-fraction", 0.6);
   const std::string report_path = flags.get("report", "");
-  config.threads = static_cast<int>(flags.get_int("threads", 0));
+  config.threads = threads_from(flags, 0);
   faults_from(flags, config.faults);
   spill_from(flags, config);
   const TraceOutput trace_out(flags);
@@ -386,7 +405,7 @@ int cmd_corpus(const Flags& flags) {
     const int content = static_cast<int>(flags.get_int("content", 2));
     const int transit = static_cast<int>(flags.get_int("transit", 2));
     const double vp_fraction = flags.get_double("vp-fraction", 0.6);
-    config.threads = static_cast<int>(flags.get_int("threads", 0));
+    config.threads = threads_from(flags, 0);
     const std::int64_t shards = flags.get_int("shards", 1);
     if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
     config.spill.enabled = true;
@@ -434,7 +453,7 @@ int cmd_validate(const Flags& flags) {
   PipelineConfig config = config_from(flags);
   const int content = static_cast<int>(flags.get_int("content", 2));
   const int transit = static_cast<int>(flags.get_int("transit", 2));
-  config.threads = static_cast<int>(flags.get_int("threads", 0));
+  config.threads = threads_from(flags, 0);
   faults_from(flags, config.faults);
   const TraceOutput trace_out(flags);
   reject_positional(flags);
@@ -623,9 +642,8 @@ int cmd_stream(const Flags& flags) {
   }
 
   const std::string events_path = flags.get("events", "");
-  const std::size_t epoch_events =
-      static_cast<std::size_t>(flags.get_int("epoch-events", 0));
-  const int threads = static_cast<int>(flags.get_int("threads", 1));
+  const std::size_t epoch_events = epoch_events_from(flags);
+  const int threads = threads_from(flags, 1);
   const bool show_diff = flags.get_bool("diff", false);
   const bool show_alarms = flags.get_bool("detect", false);
   const std::size_t diff_max =
@@ -700,7 +718,7 @@ int cmd_serve(const Flags& flags) {
 
   ServeOptions options;
   options.socket_path = socket;
-  options.threads = static_cast<int>(flags.get_int("threads", 0));
+  options.threads = threads_from(flags, 0);
   options.max_frame_bytes = static_cast<std::size_t>(flags.get_int(
       "max-frame-bytes", static_cast<std::int64_t>(kDefaultMaxFrameBytes)));
   if (options.max_frame_bytes < kFrameHeaderBytes)
@@ -733,8 +751,7 @@ int cmd_serve(const Flags& flags) {
     if (!load_report.empty())
       throw std::invalid_argument("--stream and --load-report conflict: "
                                   "a streamed daemon derives its own state");
-    const std::size_t epoch_events =
-        static_cast<std::size_t>(flags.get_int("epoch-events", 0));
+    const std::size_t epoch_events = epoch_events_from(flags);
     epoch_interval_ms =
         static_cast<int>(flags.get_int("epoch-interval-ms", 0));
     if (epoch_interval_ms < 0)
